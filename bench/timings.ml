@@ -280,29 +280,31 @@ let bench_json_path () =
   | Some p when String.trim p <> "" -> p
   | _ -> "BENCH_solvers.json"
 
-let series_path () =
-  match Sys.getenv_opt "FSA_SERIES_OUT" with
-  | Some p when String.trim p <> "" -> p
-  | _ -> "bench_series.jsonl"
-
-let sampler_path () =
-  match Sys.getenv_opt "FSA_SAMPLER_OUT" with
-  | Some p when String.trim p <> "" -> p
-  | _ -> "bench_profile.folded"
+(* First output line of a shell command ("" when it prints nothing), or
+   [None] when it cannot run or exits nonzero. *)
+let command_line cmd =
+  try
+    let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
+    let line = try String.trim (input_line ic) with End_of_file -> "" in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 -> Some line
+    | _ -> None
+  with Unix.Unix_error _ | Sys_error _ -> None
 
 (* Provenance: prefer GIT_REV (set by CI) over asking git, fall back to
-   "unknown" outside any checkout. *)
+   "unknown" outside any checkout.  A tree with uncommitted changes to
+   tracked files is labelled "<rev>-dirty": its numbers are not the
+   commit's. *)
 let git_rev () =
   match Sys.getenv_opt "GIT_REV" with
   | Some r when String.trim r <> "" -> String.trim r
   | _ -> (
-      try
-        let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-        let line = try String.trim (input_line ic) with End_of_file -> "" in
-        match Unix.close_process_in ic with
-        | Unix.WEXITED 0 when line <> "" -> line
-        | _ -> "unknown"
-      with Unix.Unix_error _ | Sys_error _ -> "unknown")
+      match command_line "git rev-parse --short HEAD" with
+      | Some rev when rev <> "" -> (
+          match command_line "git status --porcelain --untracked-files=no" with
+          | Some "" | None -> rev
+          | Some _ -> rev ^ "-dirty")
+      | _ -> "unknown")
 
 let iso_timestamp () =
   let tm = Unix.gmtime (Unix.time ()) in
@@ -346,7 +348,7 @@ let write_bench_json ~quick ~quota ~counters_of rows =
   close_out oc;
   Printf.printf "\nbench results written to %s\n" path
 
-let run ~quick ~sampler () =
+let run ~quick () =
   Printf.printf "\n== timing benches (Bechamel, monotonic clock) ==\n\n";
   let quota = if quick then 0.25 else 1.0 in
   let cfg =
@@ -356,15 +358,9 @@ let run ~quick ~sampler () =
   (* Observe the whole run so the cmatch.* cache/prune counters below
      reflect the measured workloads.  Each bench runs separately: its
      counters are recorded per bench (and folded into grand totals for the
-     summary), one metrics-series point is appended, and the registry is
-     reset so the next bench starts from zero. *)
+     summary), and the registry is reset so the next bench starts from
+     zero. *)
   let registry = Fsa_obs.Registry.create () in
-  let series = Fsa_obs.Series.to_file registry (series_path ()) in
-  let smp = Fsa_obs.Sampler.create ~every:997 () in
-  if sampler then begin
-    Fsa_obs.Sampler.attach smp;
-    Fsa_obs.Series.attach ~period_s:0.25 series
-  end;
   let totals : (string, float) Hashtbl.t = Hashtbl.create 32 in
   let bench_counters : (string, (string * float) list) Hashtbl.t =
     Hashtbl.create 32
@@ -391,21 +387,8 @@ let run ~quick ~sampler () =
               let prev = Option.value ~default:0.0 (Hashtbl.find_opt totals name) in
               Hashtbl.replace totals name (prev +. v))
             counters;
-          Fsa_obs.Series.sample series;
           Fsa_obs.Registry.reset ())
         (test_list ()));
-  if sampler then begin
-    Fsa_obs.Series.detach series;
-    Fsa_obs.Sampler.detach smp;
-    Fsa_obs.Sampler.write_folded (sampler_path ()) smp;
-    Printf.printf "sampler: %d sample(s) over %d tick(s) written to %s\n"
-      (Fsa_obs.Sampler.samples smp)
-      (Fsa_obs.Sampler.ticks smp)
-      (sampler_path ())
-  end;
-  Fsa_obs.Series.close series;
-  Printf.printf "metrics series (%d point(s)) written to %s\n"
-    (Fsa_obs.Series.samples series) (series_path ());
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in

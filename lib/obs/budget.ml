@@ -6,12 +6,7 @@
    probe and, every [poll_every] probes, polls the wall clock and the minor
    allocation counter; the first limit crossed raises [Exceeded], which the
    budgeted solver entry points catch at their own boundary to return a
-   typed partial result.
-
-   [check] is also the dispatch point for checkpoint tick hooks (the
-   sampling profiler and the metrics-series snapshotter register here), so
-   one call site in a hot loop powers budget enforcement, statistical
-   profiling, and live metrics at once. *)
+   typed partial result. *)
 
 type reason = [ `Wall_clock | `Probes | `Allocations ]
 
@@ -62,7 +57,7 @@ let probes t = t.probes
 let exceeded t = t.tripped
 
 (* ------------------------------------------------------------------ *)
-(* The ambient budget and the tick-hook list *)
+(* The ambient budget *)
 
 (* Domain-local: a budget installed in one domain can neither trip nor
    count probes from another.  A plain global ref here was a latent data
@@ -73,41 +68,26 @@ let exceeded t = t.tripped
    refuses to fan out while a budget is installed, so budgeted solver runs
    keep their exact sequential trip points.
 
-   The budget and the hook list live in ONE domain-local record so the
-   [check] fast path pays a single [Domain.DLS.get]: checkpoints sit in
-   solver inner loops (TPA steps, ISP candidates, layout pairs), where a
-   second DLS lookup per call is measurable. *)
+   The budget and the trip hooks live in ONE domain-local record so the
+   [check] slow path pays a single [Domain.DLS.get]. *)
 type state = {
   mutable budget : t option;
-  mutable hooks : (int * (unit -> unit)) list;
-  mutable snapshot : (unit -> unit) array;
-  mutable hooks_active : bool;
   mutable trip_hooks : (int * (reason -> unit)) list;
 }
 
 let state : state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        budget = None;
-        hooks = [];
-        snapshot = [||];
-        hooks_active = false;
-        trip_hooks = [];
-      })
+  Domain.DLS.new_key (fun () -> { budget = None; trip_hooks = [] })
 
 let installed () = Option.is_some (Domain.DLS.get state).budget
 
-(* Live budget installs plus nonempty hook lists, summed over all domains.
-   While this is zero — the overwhelmingly common case, since budgets and
-   tick hooks bracket explicit runs — [check] is a single atomic load and
-   a branch, cheaper than even a DLS lookup; checkpoints sit in ~20ns/iter
-   inner loops (TPA steps), where that difference is a measurable fraction
-   of the whole iteration.  Nonzero only says "some domain might have
-   work": other domains then take the DLS slow path and fall through on
-   their own empty state, which costs them a lookup but never a behavior
-   change.  A domain that dies with hooks still registered leaves the
-   count elevated (slow path forever after) — harmless, and pool workers
-   never register hooks. *)
+(* Live budget installs, summed over all domains.  While this is zero —
+   the overwhelmingly common case, since budgets bracket explicit runs —
+   [check] is a single atomic load and a branch, cheaper than even a DLS
+   lookup; checkpoints sit in ~20ns/iter inner loops (TPA steps), where
+   that difference is a measurable fraction of the whole iteration.
+   Nonzero only says "some domain might have a budget": other domains
+   then take the DLS slow path and fall through on their own empty state,
+   which costs them a lookup but never a behavior change. *)
 let active = Atomic.make 0
 
 let exceeded_counter = Metric.Counter.make "budget.exceeded"
@@ -154,50 +134,15 @@ let spend st b =
       else None
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint tick hooks *)
-
-type hook = int
-
-let hook_id = Atomic.make 0
-
-(* Registration list (newest first) plus a flat snapshot that [check]
-   iterates.  The snapshot is rebuilt on every registration change, so a
-   hook that removes itself or registers another mid-tick mutates the
-   *next* tick's array while the in-flight iteration keeps walking the one
-   it captured — no stale-list skips, no double calls.  It also turns the
-   old O(n) [@ [x]] append into an O(1) cons.
-
-   Hook state is domain-local, like the budget (it shares the [state]
-   record above): the sampler and the series snapshotter are single-domain
-   consumers (they mutate their own unsynchronized state on every tick), so
-   a hook registered on one domain must never fire from another.
-   Worker-domain checkpoints see an empty hook list and fall through. *)
-
-let rebuild_snapshot st =
-  (* [List.rev_map] restores registration order from the newest-first list. *)
-  let was_active = st.hooks_active in
-  st.snapshot <- Array.of_list (List.rev_map snd st.hooks);
-  st.hooks_active <- st.hooks <> [];
-  if st.hooks_active && not was_active then Atomic.incr active
-  else if was_active && not st.hooks_active then Atomic.decr active
-
-let on_tick f =
-  let id = Atomic.fetch_and_add hook_id 1 + 1 in
-  let st = Domain.DLS.get state in
-  st.hooks <- (id, f) :: st.hooks;
-  rebuild_snapshot st;
-  id
-
-let remove_hook id =
-  let st = Domain.DLS.get state in
-  st.hooks <- List.filter (fun (i, _) -> i <> id) st.hooks;
-  rebuild_snapshot st
+(* Trip hooks *)
 
 (* Trip hooks ride on the budget install for activation: they only ever
    fire from [trip], which only runs with a budget installed on this
-   domain, and installing a budget already raises [active].  So unlike
-   tick hooks they never touch the fast-path counter. *)
+   domain, and installing a budget already raises [active].  So they never
+   touch the fast-path counter.  Like the budget they are domain-local. *)
 type trip_hook = int
+
+let hook_id = Atomic.make 0
 
 let on_trip f =
   let id = Atomic.fetch_and_add hook_id 1 + 1 in
@@ -209,27 +154,11 @@ let remove_trip_hook id =
   let st = Domain.DLS.get state in
   st.trip_hooks <- List.filter (fun (i, _) -> i <> id) st.trip_hooks
 
-let run_hooks st =
-  if st.hooks_active then begin
-    let snapshot = st.snapshot in
-    for i = 0 to Array.length snapshot - 1 do
-      snapshot.(i) ()
-    done
-  end
-
 let check_slow () =
-  (* Hooks tick whether or not the budget raises: the sampler and series
-     snapshotter must keep observing after a sticky trip, otherwise the
-     first exceeded budget starves them for the rest of the run. *)
   let st = Domain.DLS.get state in
   match st.budget with
-  | None -> run_hooks st
-  | Some b -> (
-      match spend st b with
-      | None -> run_hooks st
-      | Some r ->
-          run_hooks st;
-          raise (Exceeded r))
+  | None -> ()
+  | Some b -> ( match spend st b with None -> () | Some r -> raise (Exceeded r))
 
 let check () = if Atomic.get active = 0 then () else check_slow ()
 

@@ -1,11 +1,10 @@
-(** Cooperative per-task resource budgets, and the checkpoint that powers
-    the rest of the live observability layer.
+(** Cooperative per-task resource budgets.
 
     Solver hot loops call {!check} once per probe (a pair table build, an
     ISP candidate, a branch-and-bound node, a layout pair...).  When no
-    budget is installed and no tick hook is registered {e anywhere} — on
-    any domain — this is a single atomic load and a branch; once some
-    domain installs one, checks pay one domain-local lookup instead.  With a budget installed (via {!with_budget} or {!run}), each
+    budget is installed {e anywhere} — on any domain — this is a single
+    atomic load and a branch; once some domain installs one, checks pay
+    one domain-local lookup instead.  With a budget installed (via {!with_budget} or {!run}), each
     check counts one probe against the probe limit and, every [poll_every]
     probes (and on the very first), polls the {!Clock} against the
     wall-clock deadline and [Gc.minor_words] against the allocation limit;
@@ -22,10 +21,9 @@
     every later checkpoint under it re-raises immediately, so multi-stage
     solvers degrade through their remaining stages without doing work.
 
-    The ambient budget (and the tick-hook list) is {e domain-local}: a
+    The ambient budget (and its trip hooks) is {e domain-local}: a
     budget installed in one domain neither counts probes from nor trips
-    checkpoints in any other domain, and hooks registered on one domain
-    never fire from another.  The domain pool ([Fsa_parallel.Pool])
+    checkpoints in any other domain.  The domain pool ([Fsa_parallel.Pool])
     additionally runs sequentially whenever a budget is installed, so
     budgeted solver runs keep their exact single-domain trip points. *)
 
@@ -48,10 +46,8 @@ val create :
     [wall_s] or [minor_words], or nonpositive [poll_every]. *)
 
 val check : unit -> unit
-(** The cooperative checkpoint.  Enforces the installed budget (if any)
-    and runs every registered tick hook.  Hooks tick on {e every} check,
-    including over-budget ones — a sticky trip must not starve the
-    sampler or the series snapshotter for the rest of the run.
+(** The cooperative checkpoint.  Enforces the installed budget (if any);
+    a no-op when none is installed on this domain.
     @raise Exceeded when the installed budget is (or already was) over. *)
 
 val with_budget : t -> (unit -> 'a) -> 'a
@@ -77,21 +73,6 @@ val exceeded : t -> reason option
 (** [Some r] once the budget has tripped (sticky). *)
 
 val installed : unit -> bool
-
-(** {1 Checkpoint tick hooks}
-
-    The sampling profiler ({!Sampler}) and the metrics-series snapshotter
-    ({!Series}) register here so that one [check ()] call site in a hot
-    loop powers all three subsystems.  Hooks tick on every check, whether
-    or not the budget raised, and must not raise themselves.  The hook
-    list is snapshotted before each tick: a hook may remove itself or
-    register new hooks mid-tick; changes take effect from the next
-    tick. *)
-
-type hook
-
-val on_tick : (unit -> unit) -> hook
-val remove_hook : hook -> unit
 
 (** {1 Trip hooks}
 
