@@ -106,21 +106,6 @@ let sparse_greedy_bench ~regions ~frags =
     ~name:(Printf.sprintf "sparse greedy (%dr %df)" regions frags)
     (Staged.stage (fun () -> ignore (Fsa_csr.Greedy.solve inst)))
 
-(* Parallel tier: the same sparse 4-approx workload fanned out over the
-   domain pool.  The "(Nd)" suffix is load-bearing: tools/benchgate groups
-   these rows by base name, reports each row's speedup over its "(1d)"
-   sibling, and (opt-in, --min-speedup) gates on it.  Outputs are
-   bit-identical across rows — only the wall clock may differ.  On a
-   single-core runner the >1 rows measure pool overhead, not speedup;
-   the gate is opt-in for exactly that reason. *)
-let sparse_parallel_bench ~regions ~frags ~domains =
-  let inst = sparse_inst ~regions ~frags in
-  Test.make
-    ~name:(Printf.sprintf "sparse 4-approx (%dr %df) (%dd)" regions frags domains)
-    (Staged.stage (fun () ->
-         Fsa_parallel.Pool.with_domains domains (fun () ->
-             ignore (Fsa_csr.One_csr.four_approx inst))))
-
 (* Latency-budget tier: the anytime portfolio under a wall deadline shorter
    than a converged improvement run.  The "@Nms" suffix is load-bearing:
    tools/benchgate parses it and enforces an absolute 2×deadline ceiling on
@@ -139,16 +124,22 @@ let portfolio_bench ~regions ~frags ~deadline_ms =
          ignore (Fsa_portfolio.Portfolio.solve ~deadline inst)))
 
 (* Chromosome-scale discovery tier: one ≥256 kb synthetic genome pair,
-   instance built by the seed → chain → band engine vs the full-kernel
-   per-anchor baseline.  Homology is confined to planted ~3 kb conserved
-   regions separated by unrelated random spacers — unlike
-   Pipeline.generate, whose spacers descend from the shared ancestor too,
-   which would make every contig pair homologous end to end and the full
-   O(n·m) baseline intractable at this scale.  A few regions are inverted
-   on the M side to exercise reverse-strand chains.  Per-bench counters
-   carry the chain.* / band.* telemetry (band.fallbacks is
-   force-registered so the key is present even when the adaptive kernel
-   never falls back). *)
+   instance built by the seed → chain → band pipeline.  Homology is
+   confined to planted ~3 kb conserved regions separated by unrelated
+   random spacers — unlike Pipeline.generate, whose spacers descend from
+   the shared ancestor too, which would make every contig pair homologous
+   end to end.  A few regions are inverted on the M side to exercise
+   reverse-strand chains.  Per-bench counters carry the chain.* / band.*
+   telemetry (band.fallbacks is force-registered so the key is present
+   even when the adaptive kernel never falls back).
+
+   This is also the parallel tier: discovery's per-contig fan-out is the
+   only work the domain pool splits.  The "(Nd)" suffix is load-bearing:
+   tools/benchgate groups these rows by base name, reports each row's
+   speedup over its "(1d)" sibling, and (opt-in, --min-speedup) gates on
+   it.  Outputs are bit-identical across rows — only the wall clock may
+   differ.  On a single-core runner the (2d) row measures pool overhead,
+   not speedup; the gate is opt-in for exactly that reason. *)
 let discovery_pair =
   lazy
     (let rng = Rng.create 17 in
@@ -219,13 +210,17 @@ let discovery_genome_size () =
 
 let band_fallbacks_probe = Fsa_obs.Metric.Counter.make "band.fallbacks"
 
-let discovery_bench ~engine ~label =
+let discovery_bench ~domains =
   let h, m = Lazy.force discovery_pair in
   Test.make
-    ~name:(Printf.sprintf "discovery %s %dkb" label (discovery_genome_size () / 1024))
+    ~name:
+      (Printf.sprintf "discovery chained %dkb (%dd)"
+         (discovery_genome_size () / 1024)
+         domains)
     (Staged.stage (fun () ->
          Fsa_obs.Metric.Counter.incr ~by:0 band_fallbacks_probe;
-         ignore (Fsa_genome.Pipeline.discovery_instance ~engine ~h ~m ())))
+         Fsa_parallel.Pool.with_domains domains (fun () ->
+             ignore (Fsa_genome.Pipeline.discovery_instance ~h ~m ()))))
 
 let four_approx_bench () =
   let rng = Rng.create 11 in
@@ -262,13 +257,10 @@ let test_list () =
     sparse_four_approx_bench ~regions:64 ~frags:16;
     sparse_four_approx_bench ~regions:128 ~frags:32;
     sparse_greedy_bench ~regions:64 ~frags:16;
-    sparse_parallel_bench ~regions:128 ~frags:32 ~domains:1;
-    sparse_parallel_bench ~regions:128 ~frags:32 ~domains:2;
-    sparse_parallel_bench ~regions:128 ~frags:32 ~domains:4;
     portfolio_bench ~regions:64 ~frags:16 ~deadline_ms:5;
     portfolio_bench ~regions:128 ~frags:32 ~deadline_ms:10;
-    discovery_bench ~engine:`Chained ~label:"chained";
-    discovery_bench ~engine:`Per_anchor_full ~label:"per-anchor-full";
+    discovery_bench ~domains:1;
+    discovery_bench ~domains:2;
     exact_bench ();
   ]
 

@@ -164,22 +164,16 @@ let contigs_of_fasta path =
       })
     entries
 
-let discover h_path m_path k min_anchor_score cluster_gap engine max_gap band
-    band_cap trace =
+let discover h_path m_path k min_anchor_score cluster_gap max_gap band band_cap
+    trace =
   setup_observation trace false;
   let reg = Fsa_obs.Registry.create () in
   Fsa_obs.Runtime.set_registry (Some reg);
   let h = contigs_of_fasta h_path and m = contigs_of_fasta m_path in
-  let engine =
-    match engine with
-    | "per-anchor" -> `Per_anchor
-    | "per-anchor-full" -> `Per_anchor_full
-    | _ -> `Chained
-  in
   let built =
     try
-      P.discovery_instance ~k ~min_anchor_score ~cluster_gap ~engine ~max_gap
-        ?band ?band_cap ~h ~m ()
+      P.discovery_instance ~k ~min_anchor_score ~cluster_gap ~max_gap ?band
+        ?band_cap ~h ~m ()
     with Invalid_argument msg ->
       prerr_endline ("genome_sim discover: " ^ msg);
       exit 1
@@ -216,21 +210,6 @@ let discover_cmd =
     value & opt int 5
     & info [ "cluster-gap" ] ~doc:"Merge footprints within this many bases."
   in
-  let engine =
-    value
-    & opt
-        (enum
-           [
-             ("chained", "chained");
-             ("per-anchor", "per-anchor");
-             ("per-anchor-full", "per-anchor-full");
-           ])
-        "chained"
-    & info [ "engine" ]
-        ~doc:
-          "Region/σ builder: chained (seed → chain → band, default), \
-           per-anchor (historical), per-anchor-full (full-kernel baseline)."
-  in
   let max_gap =
     value & opt int 300
     & info [ "max-gap" ] ~doc:"Largest per-sequence gap bridged by a chain."
@@ -254,7 +233,7 @@ let discover_cmd =
     (Cmd.info "discover" ~doc)
     Term.(
       const discover $ h_fasta $ m_fasta $ k $ min_anchor_score $ cluster_gap
-      $ engine $ max_gap $ band $ band_cap $ trace)
+      $ max_gap $ band $ band_cap $ trace)
 
 let cmd =
   let doc = "synthetic two-genome order/orient inference benchmark" in

@@ -183,23 +183,20 @@ let ms_bound inst ~full_side idx ~other_frag =
 (* ------------------------------------------------------------------ *)
 (* Pruning switch and counters *)
 
-(* Atomic, not a plain ref: the switch is read from every domain's probe
-   loops, and [set_enabled] from the caller must be visible to workers
-   spawned afterwards without tearing. *)
 let enabled_cell =
-  Atomic.make
+  ref
     (match Sys.getenv_opt "FSA_NO_PRUNE" with
     | Some v when String.trim v <> "" -> false
     | Some _ | None -> true)
 
-let enabled () = Atomic.get enabled_cell
-let set_enabled b = Atomic.set enabled_cell b
+let enabled () = !enabled_cell
+let set_enabled b = enabled_cell := b
 
 let pruned_counter = Counter.make "cmatch.pruned"
 let checks_counter = Counter.make "cmatch.bound_checks"
 
 let pair_viable inst ~full_side idx ~other_frag ~threshold =
-  if not (Atomic.get enabled_cell) then true
+  if not !enabled_cell then true
   else begin
     Counter.incr checks_counter;
     if ms_bound inst ~full_side idx ~other_frag > threshold then true

@@ -88,7 +88,7 @@ let default_table_budget =
    changed.  Caches are keyed by instance uid and uids are never reused, so
    stale entries for another domain's instances can never collide — they
    just age out by LRU weight. *)
-let table_budget_cell = Atomic.make default_table_budget
+let table_budget_cell = ref default_table_budget
 
 type caches = {
   tables : (int * bool * int * int, site_table) Lru.t;
@@ -102,7 +102,7 @@ type caches = {
 
 let caches_key : caches Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      let budget = Atomic.get table_budget_cell in
+      let budget = !table_budget_cell in
       {
         tables =
           Lru.create ~budget
@@ -115,7 +115,7 @@ let caches_key : caches Domain.DLS.key =
 
 let caches () =
   let c = Domain.DLS.get caches_key in
-  let budget = Atomic.get table_budget_cell in
+  let budget = !table_budget_cell in
   if budget <> c.synced_budget then begin
     Lru.set_budget c.tables budget;
     c.synced_budget <- budget
@@ -124,11 +124,11 @@ let caches () =
 
 let set_table_budget cells =
   if cells < 0 then invalid_arg "Cmatch.set_table_budget: negative budget";
-  Atomic.set table_budget_cell cells;
+  table_budget_cell := cells;
   (* Trim the calling domain's cache now; other domains trim on next access. *)
   ignore (caches ())
 
-let table_budget () = Atomic.get table_budget_cell
+let table_budget () = !table_budget_cell
 
 let clear_cache () =
   let c = caches () in

@@ -8,11 +8,15 @@ type t = {
   sigma : Scoring.t;
 }
 
-(* Atomic so instances can be built from any domain; uids are never reused,
-   which is what lets per-domain caches keyed by uid age out stale entries
-   instead of ever colliding (DESIGN.md §14). *)
-let next_uid = Atomic.make 0
-let fresh_uid () = Atomic.fetch_and_add next_uid 1 + 1
+(* Uids are never reused, which is what lets caches keyed by uid age out
+   stale entries instead of ever colliding (DESIGN.md §14).  A plain
+   counter: instances are built on one domain at a time (no library
+   fan-out builds one). *)
+let next_uid = ref 0
+
+let fresh_uid () =
+  incr next_uid;
+  !next_uid
 
 let make ~alphabet ~h ~m ~sigma =
   if h = [] || m = [] then invalid_arg "Instance.make: a side has no fragments";

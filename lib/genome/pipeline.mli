@@ -31,7 +31,6 @@ val discovery_instance :
   ?k:int ->
   ?min_anchor_score:float ->
   ?cluster_gap:int ->
-  ?engine:[ `Chained | `Per_anchor | `Per_anchor_full ] ->
   ?max_gap:int ->
   ?band:int ->
   ?band_cap:int ->
@@ -43,19 +42,11 @@ val discovery_instance :
     filters weak anchors; candidate footprints closer than [cluster_gap]
     (default 5) bases merge into one region.
 
-    [engine] selects the region/σ builder:
-    - [`Chained] (default): seed → chain → band.  Anchors are chained per
-      contig pair under [max_gap] (default 300), chains are stitched with
-      the adaptive banded kernel ([band], [band_cap] forwarded to
-      {!Fsa_align.Chain.stitch}), and regions/σ come from the stitched
-      chains.
-    - [`Per_anchor]: the historical builder — regions from raw anchor
-      footprints, σ from the best single anchor score per region pair.
-      Kept for the equivalence suite; byte-identical output to the
-      pre-chaining implementation.
-    - [`Per_anchor_full]: per-anchor regions, but σ scores every connected
-      region pair with the exact full O(n·m) kernel over the whole region
-      DNA.  The benchmark baseline the chained engine is measured against.
+    Anchors are chained per contig pair under [max_gap] (default 300),
+    chains are stitched with the adaptive banded kernel ([band],
+    [band_cap] forwarded to {!Fsa_align.Chain.stitch}), and regions/σ
+    come from the stitched chains: σ takes the best stitched score per
+    (h region, m region, orientation).
 
     @raise Invalid_argument when no conserved regions are discovered. *)
 

@@ -28,8 +28,7 @@
 
    Nesting: a fan-out inside a chunk (on any domain) runs inline.  One
    level of parallelism keeps the merge order — and the worker count —
-   trivially deterministic, and the inner kernels (e.g. the all-windows
-   column kernel) stay parallel for top-level callers. *)
+   trivially deterministic. *)
 
 let max_domains = 512
 
@@ -73,13 +72,10 @@ let with_domains n f =
 
 (* One private mailbox per worker.  Slot [s > 0] of every batch is pushed
    to worker [s - 1]'s mailbox, so the slot → domain mapping is *static*
-   across batches (the contract the mli documents).  This is load-bearing
-   for the domain-local caches (Cmatch/Bound site tables, Budget state):
-   with a shared job queue, whichever worker woke first took the job, so a
-   repeat of an identical fan-out could land chunk [s] on a different
-   domain whose cache had never seen those tables — rebuild churn and a
-   nondeterministic cache-hit profile (the test_bound "repeat solve
-   rebuilds nothing" flake at FSA_DOMAINS=4).  Workers live for the whole
+   across batches (the contract the mli documents): with a shared job
+   queue, whichever worker woke first took the job, so a repeat of an
+   identical fan-out could land chunk [s] on a different domain, whose
+   domain-local state had never seen that work.  Workers live for the whole
    process (parked in [Condition.wait] between batches) and are joined by
    an at_exit hook so the runtime shuts down cleanly. *)
 type worker = {
@@ -339,11 +335,3 @@ let fan_out ~n ~chunk =
         (function Some v -> v | None -> assert false (* no result, no error *))
         results
     end
-
-let prepend_chunks ~n f =
-  (* Sequential prepend-accumulation over 0..n-1 yields the items in
-     reverse iteration order; each chunk reproduces that locally, so
-     concatenating the slot lists in *reverse* slot order rebuilds the
-     exact sequential list. *)
-  let slots = fan_out ~n ~chunk:(fun ~slot:_ ~lo ~hi -> f ~lo ~hi) in
-  Array.fold_left (fun acc l -> l @ acc) [] slots

@@ -177,12 +177,12 @@ let test_no_rebuild_within_solve () =
     Instance.random_planted rng ~regions:48 ~h_fragments:8 ~m_fragments:8
       ~inversion_rate:0.2 ~noise_pairs:24
   in
-  (* Distinct table keys: (side, full fragment, host fragment).  Caches are
-     per-domain, so with FSA_DOMAINS > 1 each domain may build its own copy
-     of a pair's table — the bound scales with the domain count. *)
+  (* Distinct table keys: (side, full fragment, host fragment).  Every
+     solver table is built on the calling domain, so the bound holds at
+     any FSA_DOMAINS. *)
   let nh = Instance.fragment_count inst Species.H in
   let nm = Instance.fragment_count inst Species.M in
-  let distinct = 2 * nh * nm * Fsa_parallel.Pool.domains () in
+  let distinct = 2 * nh * nm in
   let reg = Fsa_obs.Registry.create () in
   Fsa_obs.Runtime.with_observation ~registry:reg (fun () ->
       with_pruning false (fun () ->

@@ -1,9 +1,10 @@
 (* Domain pool and domain-safety tests: the fan-out/merge contract
    (chunk coverage, slot order, exception propagation, inline fallbacks),
-   the cross-domain determinism suite (every CSR solver bit-identical at
-   FSA_DOMAINS ∈ {1, 2, 4}), the pinned fuzz corpus under parallelism,
-   and the regression tests for the shared-mutable-state bug class:
-   budget isolation, Lru owner checks, knob validation, registry merge. *)
+   the cross-domain determinism suite (every CSR solver's output and
+   counters identical at FSA_DOMAINS ∈ {1, 2, 4}), the pinned fuzz corpus
+   under parallelism, and the regression tests for the shared-mutable-state
+   bug class: budget isolation, Lru owner checks, knob validation, registry
+   merge. *)
 
 open Fsa_csr
 module Pool = Fsa_parallel.Pool
@@ -81,40 +82,11 @@ let test_fan_out_empty () =
       check_int "n=0 yields no slots" 0
         (Array.length (Pool.fan_out ~n:0 ~chunk:(fun ~slot ~lo:_ ~hi:_ -> slot))))
 
-let prepend_reference n =
-  let acc = ref [] in
-  for i = 0 to n - 1 do
-    acc := i :: !acc
-  done;
-  !acc
-
-let test_prepend_chunks_deterministic () =
-  List.iter
-    (fun n ->
-      let reference = prepend_reference n in
-      List.iter
-        (fun d ->
-          Pool.with_domains d (fun () ->
-              let got =
-                Pool.prepend_chunks ~n (fun ~lo ~hi ->
-                    let acc = ref [] in
-                    for i = lo to hi - 1 do
-                      acc := i :: !acc
-                    done;
-                    !acc)
-              in
-              check_bool
-                (Printf.sprintf "n=%d d=%d: sequential prepend order" n d)
-                true (got = reference)))
-        [ 1; 2; 4 ])
-    [ 0; 1; 5; 37; 128 ]
-
 let test_static_slot_domain_mapping () =
-  (* Slot s must land on the same domain in every batch: the domain-local
-     Cmatch/Bound caches warmed by one fan-out are only reusable if a
-     repeat of the same fan-out routes chunk s to the same worker.  The
-     old shared job queue let any free worker grab any slot (the
-     test_bound "repeat solve rebuilds nothing" flake at FSA_DOMAINS=4). *)
+  (* Slot s must land on the same domain in every batch: domain-local
+     state warmed by one fan-out is only reusable if a repeat of the same
+     fan-out routes chunk s to the same worker.  The old shared job queue
+     let any free worker grab any slot. *)
   Pool.with_domains 4 (fun () ->
       let mapping () =
         Array.map
@@ -432,8 +404,43 @@ let test_improve_stats_determinism () =
   check_bool "stats identical at 2 domains" true (at 2 = r1);
   check_bool "stats identical at 4 domains" true (at 4 = r1)
 
+(* Every registry counter except the pool's own [pool.*] metrics is
+   identical at any domain count: the solvers build every Cmatch table and
+   Bound summary on the calling domain, so cache builds, hits and prunes
+   cannot depend on which domain ran what.  Caches start cold each run. *)
+let test_counter_determinism () =
+  let inst = sparse_instance () in
+  let counters solve d =
+    Pool.with_domains d (fun () ->
+        Cmatch.clear_cache ();
+        let reg = Registry.create () in
+        Fsa_obs.Runtime.with_observation ~registry:reg (fun () ->
+            solve inst);
+        List.filter
+          (fun (name, _) -> not (String.starts_with ~prefix:"pool." name))
+          (Registry.counters reg))
+  in
+  let render cs =
+    String.concat "\n"
+      (List.map (fun (name, v) -> Printf.sprintf "%s %.17g" name v) cs)
+  in
+  List.iter
+    (fun (solver_name, solve) ->
+      let c1 = render (counters solve 1) in
+      check_bool (solver_name ^ ": counters recorded") true (c1 <> "");
+      check_string (solver_name ^ ": 2 domains == 1") c1
+        (render (counters solve 2));
+      check_string (solver_name ^ ": 4 domains == 1") c1
+        (render (counters solve 4)))
+    [
+      ("csr_improve", fun inst -> ignore (Csr_improve.solve inst));
+      ("one_csr.four_approx", fun inst -> ignore (One_csr.four_approx inst));
+      ("greedy", fun inst -> ignore (Greedy.solve inst));
+    ]
+
 let test_region_align_kernel_determinism () =
-  (* A word pair big enough to cross the all-windows parallel threshold. *)
+  (* A large word pair (la·lw² far above 64k DP cells): the kernel's
+     output must not depend on the domain count. *)
   let rng = Rng.create 3 in
   let inst =
     Instance.random_planted rng ~regions:96 ~h_fragments:2 ~m_fragments:2
@@ -492,8 +499,6 @@ let () =
           Alcotest.test_case "fan_out empty" `Quick test_fan_out_empty;
           Alcotest.test_case "static slot->domain mapping" `Quick
             test_static_slot_domain_mapping;
-          Alcotest.test_case "prepend_chunks order" `Quick
-            test_prepend_chunks_deterministic;
           Alcotest.test_case "lowest-slot exception wins" `Quick
             test_exception_lowest_slot_wins;
           Alcotest.test_case "nested fan-out inlines" `Quick
@@ -532,6 +537,8 @@ let () =
             test_solver_determinism;
           Alcotest.test_case "improve stats" `Slow
             test_improve_stats_determinism;
+          Alcotest.test_case "counters at 1/2/4 domains" `Slow
+            test_counter_determinism;
           Alcotest.test_case "all-windows kernel" `Slow
             test_region_align_kernel_determinism;
           Alcotest.test_case "pinned corpus with pool" `Slow
