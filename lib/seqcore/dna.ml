@@ -20,9 +20,19 @@ let complement_base = function
   | 'G' -> 'C'
   | c -> invalid_arg (Printf.sprintf "Dna.complement_base: invalid base %C" c)
 
+(* Per-base work reads a table: a four-way match on random bases mispredicts
+   most branches.  Only ACGT occur in a [t]. *)
+let complements =
+  String.init 256 (fun i ->
+      match Char.chr i with 'A' | 'C' | 'G' | 'T' as c -> complement_base c | c -> c)
+
 let reverse_complement t =
   let n = Bytes.length t in
-  Bytes.init n (fun i -> complement_base (Bytes.get t (n - 1 - i)))
+  let r = Bytes.create n in
+  for i = 0 to n - 1 do
+    Bytes.set r i (String.get complements (Char.code (Bytes.get t (n - 1 - i))))
+  done;
+  r
 
 let bases = [| 'A'; 'C'; 'G'; 'T' |]
 
@@ -79,12 +89,17 @@ let identity a b =
     float_of_int !same /. float_of_int total
   end
 
-let base_code = function
-  | 'A' -> 0
-  | 'C' -> 1
-  | 'G' -> 2
-  | 'T' -> 3
-  | _ -> assert false
+(* 2-bit codes by character, read by table like [complements]. *)
+let base_codes =
+  String.init 256 (fun i ->
+      match Char.chr i with
+      | 'A' -> '\000'
+      | 'C' -> '\001'
+      | 'G' -> '\002'
+      | 'T' -> '\003'
+      | _ -> '\255')
+
+let base_code c = Char.code (String.get base_codes (Char.code c))
 
 let pack_kmer t ~pos ~k =
   if k < 1 || k > 30 then invalid_arg "Dna.pack_kmer: k out of [1,30]";

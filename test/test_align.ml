@@ -304,18 +304,39 @@ let test_adaptive_similar_stays_narrow () =
   let full = Dna_align.global a b in
   check_float "score equal" full.Pairwise.score ad.Pairwise.result.Pairwise.score
 
+(* The x-drop kernel counts the cells it scans, so a stop is observable:
+   five matches, then mismatches until the running score is 11 below the
+   best (x-drop 10). *)
+let xdrop_cells f =
+  let reg = Fsa_obs.Registry.create () in
+  let r = Fsa_obs.Runtime.with_observation ~registry:reg f in
+  let cells =
+    match Fsa_obs.Registry.counter_value reg "seed.xdrop_cells" with
+    | Some v -> int_of_float v
+    | None -> 0
+  in
+  (r, cells)
+
 let test_xdrop_stops () =
   (* matches then a long run of mismatches: extension must stop early. *)
-  let score i j = if i = j && i < 5 then 1.0 else -1.0 in
-  let best, len = Pairwise.xdrop_extend ~score ~x_drop:2.0 ~la:100 ~lb:100 ~a_start:0 ~b_start:0 in
-  check_float "best is the 5 matches" 5.0 best;
-  check_int "length" 5 len
+  let target = Dna.of_string ("ACGTA" ^ String.make 95 'C') in
+  let query = Dna.of_string ("ACGTA" ^ String.make 95 'G') in
+  let (best, len), cells =
+    xdrop_cells (fun () -> Seed.extend_right ~target ~query ~d:0 ~start:0)
+  in
+  check_int "best is the 5 matches" 5 best;
+  check_int "length" 5 len;
+  check_int "stopped 11 mismatches past the best" 16 cells
 
 let test_xdrop_empty () =
-  let score _ _ = -1.0 in
-  let best, len = Pairwise.xdrop_extend ~score ~x_drop:1.5 ~la:10 ~lb:10 ~a_start:0 ~b_start:0 in
-  check_float "best" 0.0 best;
-  check_int "len" 0 len
+  let target = Dna.of_string (String.make 20 'A') in
+  let query = Dna.of_string (String.make 20 'T') in
+  let (best, len), cells =
+    xdrop_cells (fun () -> Seed.extend_right ~target ~query ~d:0 ~start:0)
+  in
+  check_int "best" 0 best;
+  check_int "len" 0 len;
+  check_int "stopped at -11" 11 cells
 
 (* ------------------------------------------------------------------ *)
 (* Seed and extend                                                      *)
@@ -431,6 +452,252 @@ let test_filter_dominated_sweep_qcheck =
     (fun seed ->
       let anchors = random_anchor_set seed in
       Seed.filter_dominated anchors = filter_dominated_quadratic anchors)
+
+(* Reference seed engine: the polymorphic-Hashtbl index and the
+   float-closure x-drop extension Seed used before its flat index and
+   memoised integer kernel, verbatim apart from returning the lookup. *)
+let xdrop_extend ~score ~x_drop ~la ~lb ~a_start ~b_start =
+  let rec go k running best best_len =
+    let i = a_start + k and j = b_start + k in
+    if i >= la || j >= lb then (best, best_len)
+    else
+      let running = running +. score i j in
+      if running < best -. x_drop then (best, best_len)
+      else if running > best then go (k + 1) running running (k + 1)
+      else go (k + 1) running best best_len
+  in
+  go 0 0.0 0.0 0
+
+let reference_index ?(max_occ = 32) ~k target =
+  let counts = Hashtbl.create 1024 in
+  Dna.fold_kmers ~k target ~init:() ~f:(fun () ~pos:_ ~kmer ->
+      let c = match Hashtbl.find_opt counts kmer with Some c -> c | None -> 0 in
+      Hashtbl.replace counts kmer (c + 1));
+  let table = Hashtbl.create (Hashtbl.length counts) in
+  let fill = Hashtbl.create (Hashtbl.length counts) in
+  Dna.fold_kmers ~k target ~init:() ~f:(fun () ~pos ~kmer ->
+      if Hashtbl.find counts kmer <= max_occ then begin
+        let occs =
+          match Hashtbl.find_opt table kmer with
+          | Some occs -> occs
+          | None ->
+              let occs = Array.make (Hashtbl.find counts kmer) 0 in
+              Hashtbl.add table kmer occs;
+              occs
+        in
+        let i =
+          match Hashtbl.find_opt fill kmer with Some i -> i | None -> 0
+        in
+        occs.(i) <- pos;
+        Hashtbl.replace fill kmer (i + 1)
+      end);
+  fun kmer -> match Hashtbl.find_opt table kmer with Some occs -> occs | None -> [||]
+
+let reference_strand_runs ?(params = Dna_align.default) ~max_gap ~x_drop ~min_score
+    ~k lookup ~target ~q =
+  let ql = Dna.length q in
+  let buf = ref (Array.make 256 0) and len = ref 0 in
+  Dna.fold_kmers ~k q ~init:() ~f:(fun () ~pos ~kmer ->
+      let occs = lookup kmer in
+      for i = 0 to Array.length occs - 1 do
+        let cap = Array.length !buf in
+        if !len = cap then begin
+          let bigger = Array.make (2 * cap) 0 in
+          Array.blit !buf 0 bigger 0 cap;
+          buf := bigger
+        end;
+        !buf.(!len) <- ((occs.(i) - pos + ql) lsl 31) lor pos;
+        incr len
+      done);
+  let hits = Array.sub !buf 0 !len in
+  Array.sort Int.compare hits;
+  let runs = ref [] in
+  let cur_d = ref 0 and cur_j0 = ref 0 and cur_j1 = ref 0 in
+  let have = ref false in
+  let flush () = if !have then runs := (!cur_d, !cur_j0, !cur_j1) :: !runs in
+  for i = 0 to Array.length hits - 1 do
+    let key = hits.(i) in
+    let d = (key asr 31) - ql and j = key land 0x7FFF_FFFF in
+    if !have && !cur_d = d && j <= !cur_j1 + k + max_gap then begin
+      if j > !cur_j1 then cur_j1 := j
+    end
+    else begin
+      flush ();
+      have := true;
+      cur_d := d;
+      cur_j0 := j;
+      cur_j1 := j
+    end
+  done;
+  flush ();
+  let tl = Dna.length target in
+  let pair_score i j =
+    if Dna.get target i = Dna.get q j then params.Dna_align.match_score
+    else params.Dna_align.mismatch
+  in
+  let extend (d, j0, j1) =
+    let q_end = j1 + k in
+    let right_score, right_len =
+      xdrop_extend ~score:pair_score ~x_drop ~la:tl ~lb:ql ~a_start:(q_end + d)
+        ~b_start:q_end
+    in
+    let rev_score i j = pair_score (j0 + d - 1 - i) (j0 - 1 - j) in
+    let left_score, left_len =
+      if j0 = 0 || j0 + d = 0 then (0.0, 0)
+      else
+        xdrop_extend ~score:rev_score ~x_drop ~la:(min (j0 + d) tl) ~lb:j0 ~a_start:0
+          ~b_start:0
+    in
+    let core_lo = j0 and core_hi = q_end - 1 in
+    let q_lo = core_lo - left_len and q_hi = core_hi + right_len in
+    let core_score = ref 0.0 in
+    for j = core_lo to core_hi do
+      core_score := !core_score +. pair_score (j + d) j
+    done;
+    (d, q_lo, q_hi, !core_score +. left_score +. right_score)
+  in
+  List.filter_map
+    (fun run ->
+      let d, q_lo, q_hi, score = extend run in
+      if score >= min_score then Some (d, q_lo, q_hi, score) else None)
+    !runs
+
+let reference_anchors ?(max_gap = 4) ?(x_drop = 10.0) ?(min_score = 20.0) ~k lookup
+    ~target ~query =
+  let fwd =
+    reference_strand_runs ~max_gap ~x_drop ~min_score ~k lookup ~target ~q:query
+    |> List.map (fun (d, q_lo, q_hi, score) ->
+           { Seed.t_lo = q_lo + d; t_hi = q_hi + d; q_lo; q_hi; forward = true; score })
+  in
+  let qrc = Dna.reverse_complement query in
+  let ql = Dna.length query in
+  let rev =
+    reference_strand_runs ~max_gap ~x_drop ~min_score ~k lookup ~target ~q:qrc
+    |> List.map (fun (d, q_lo, q_hi, score) ->
+           {
+             Seed.t_lo = q_lo + d;
+             t_hi = q_hi + d;
+             q_lo = ql - 1 - q_hi;
+             q_hi = ql - 1 - q_lo;
+             forward = false;
+             score;
+           })
+  in
+  List.sort (fun (a : Seed.anchor) b -> compare b.score a.score) (fwd @ rev)
+
+(* A copy of [s] with substitutions, mismatch bursts, short indels and
+   tandem duplications; a duplication puts two copies of one stretch on
+   neighbouring diagonals, and dense substitutions split one diagonal into
+   several runs. *)
+let evolve rng s =
+  let n = String.length s in
+  let sub_pct = Fsa_util.Rng.int rng 15 in
+  let b = Buffer.create (2 * n) in
+  let i = ref 0 in
+  while !i < n do
+    let u = Fsa_util.Rng.int rng 1000 in
+    if u < 4 then
+      Buffer.add_string b (Dna.to_string (Dna.random rng (1 + Fsa_util.Rng.int rng 20)))
+    else if u < 8 then i := !i + 1 + Fsa_util.Rng.int rng 20
+    else if u < 12 then begin
+      let seg = String.sub s !i (min (n - !i) (10 + Fsa_util.Rng.int rng 80)) in
+      Buffer.add_string b seg;
+      Buffer.add_string b seg;
+      i := !i + String.length seg
+    end
+    else if u < 16 then begin
+      (* A burst of 10 or 11 mismatches sits right at the x-drop limit. *)
+      let stop = min n (!i + 10 + Fsa_util.Rng.int rng 2) in
+      while !i < stop do
+        Buffer.add_char b (Dna.complement_base s.[!i]);
+        incr i
+      done
+    end
+    else begin
+      let c = s.[!i] in
+      Buffer.add_char b
+        (if Fsa_util.Rng.int rng 100 < sub_pct then
+           Dna.get (Dna.random rng 1) 0
+         else c);
+      incr i
+    end
+  done;
+  Buffer.contents b
+
+(* Target and query share an ancestor; the query holds it forward, reverse
+   complemented, or half of each.  Flanks are absent half the time so runs
+   reach position 0 and the last base of either sequence. *)
+let seed_pair seed =
+  let rng = Fsa_util.Rng.create seed in
+  let flank () =
+    if Fsa_util.Rng.bool rng then ""
+    else Dna.to_string (Dna.random rng (Fsa_util.Rng.int rng 60))
+  in
+  let anc = Dna.to_string (Dna.random rng (40 + Fsa_util.Rng.int rng 900)) in
+  let target = Dna.of_string (flank () ^ evolve rng anc ^ flank ()) in
+  let rc s = Dna.to_string (Dna.reverse_complement (Dna.of_string s)) in
+  let copy = evolve rng anc in
+  let body =
+    match Fsa_util.Rng.int rng 3 with
+    | 0 -> copy
+    | 1 -> rc copy
+    | _ ->
+        let h = String.length copy / 2 in
+        String.sub copy 0 h ^ rc (String.sub copy h (String.length copy - h))
+  in
+  let query = Dna.of_string (flank () ^ body ^ flank ()) in
+  (rng, target, query)
+
+let test_anchors_match_reference_qcheck =
+  QCheck.Test.make ~name:"anchors = float-closure reference" ~count:400
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng, target, query = seed_pair seed in
+      let k = Fsa_util.Rng.choose rng [| 6; 8; 10; 12 |] in
+      let max_gap = Fsa_util.Rng.choose rng [| 0; 4; 16 |] in
+      let min_score = Fsa_util.Rng.choose rng [| neg_infinity; 20.0; 24.0 |] in
+      let idx = Seed.build_index ~k target in
+      Seed.anchors ~max_gap ~min_score idx ~target ~query
+      = reference_anchors ~max_gap ~min_score ~k (reference_index ~k target) ~target
+          ~query)
+
+let test_index_matches_reference_qcheck =
+  QCheck.Test.make ~name:"flat index lookup = Hashtbl reference" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Fsa_util.Rng.create seed in
+      let k = 1 + Fsa_util.Rng.int rng 14 in
+      (* Low-entropy targets repeat k-mers, so counts straddle the cut. *)
+      let target =
+        if Fsa_util.Rng.bool rng then Dna.random rng (Fsa_util.Rng.int rng 1500)
+        else begin
+          let unit = Dna.to_string (Dna.random rng (1 + Fsa_util.Rng.int rng 12)) in
+          let copies = 1 + Fsa_util.Rng.int rng 60 in
+          let s = String.concat "" (List.init copies (fun _ -> unit)) in
+          Dna.point_mutate rng ~rate:0.05 (Dna.of_string s)
+        end
+      in
+      let present =
+        List.rev
+          (Dna.fold_kmers ~k target ~init:[] ~f:(fun acc ~pos:_ ~kmer -> kmer :: acc))
+      in
+      (* Put the cut exactly at, or one below, some k-mer's count. *)
+      let max_occ =
+        match present with
+        | [] -> 1 + Fsa_util.Rng.int rng 40
+        | _ ->
+            let kmer = List.nth present (Fsa_util.Rng.int rng (List.length present)) in
+            let c = List.length (List.filter (( = ) kmer) present) in
+            max 1 (c - Fsa_util.Rng.int rng 2)
+      in
+      let idx = Seed.build_index ~max_occ ~k target in
+      let reference = reference_index ~max_occ ~k target in
+      let universe = 1 lsl (2 * k) in
+      let probes =
+        if universe <= 4096 then List.init universe Fun.id
+        else present @ List.init 200 (fun _ -> Fsa_util.Rng.int rng universe)
+      in
+      List.for_all (fun kmer -> Seed.lookup idx kmer = reference kmer) probes)
 
 (* ------------------------------------------------------------------ *)
 (* Chaining and stitching                                               *)
@@ -582,6 +849,8 @@ let () =
           Alcotest.test_case "no anchors on noise" `Quick test_anchor_none_on_random;
           Alcotest.test_case "dominated filtering" `Quick test_filter_dominated;
           qtest test_filter_dominated_sweep_qcheck;
+          qtest test_anchors_match_reference_qcheck;
+          qtest test_index_matches_reference_qcheck;
         ] );
       ( "chain",
         [

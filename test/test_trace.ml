@@ -444,26 +444,67 @@ let test_cli_export_chrome () =
   check_int "one X per span_end" (Trace.span_ends t) (count_complete_events json);
   Sys.remove trace_file
 
-let test_cli_diff_same_run_quiet () =
-  (* Two traces of the same deterministic run: nothing above threshold. *)
-  let t1 = record_trace () and t2 = record_trace () in
-  let code, out =
-    run_cmd
-      (Printf.sprintf "%s diff %s %s"
-         (Filename.quote (exe (Filename.concat "bin" "fsa_trace.exe")))
-         (Filename.quote t1) (Filename.quote t2))
-  in
-  Sys.remove t1;
-  Sys.remove t2;
-  if code <> 0 then Alcotest.failf "diff flagged same-run traces: %s" out;
-  check_int "diff exit 0" 0 code
-
 let contains_sub hay needle =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   nl = 0 || go 0
 
 let fsa_trace_exe () = Filename.quote (exe (Filename.concat "bin" "fsa_trace.exe"))
+
+(* An fsa-trace/2 recording with fixed timings, so a diff of two of them
+   does not depend on the machine: [solve] wraps [hot] then [tiny], each
+   lasting its [_ns] argument, 100 us apart. *)
+let write_fixed_trace ~solve_ns ~hot_ns ~tiny_ns =
+  let file = Filename.temp_file "fsa_fixed" ".trace.jsonl" in
+  let b = Buffer.create 1024 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  let span_begin ts name depth =
+    line {|{"ts":%.9f,"domain":0,"type":"span_begin","name":"%s","depth":%d}|} ts name
+      depth
+  and span_end ts name depth ns =
+    line
+      {|{"ts":%.9f,"domain":0,"type":"span_end","name":"%s","depth":%d,"elapsed_ns":%.1f,"minor_words":0.0,"major_words":0.0}|}
+      ts name depth ns
+  in
+  line {|{"schema":"fsa-trace/2"}|};
+  span_begin 0.0 "solve" 0;
+  let hot_at = 1e-4 in
+  span_begin hot_at "hot" 1;
+  span_end (hot_at +. (hot_ns /. 1e9)) "hot" 1 hot_ns;
+  let tiny_at = hot_at +. (hot_ns /. 1e9) +. 1e-4 in
+  span_begin tiny_at "tiny" 1;
+  span_end (tiny_at +. (tiny_ns /. 1e9)) "tiny" 1 tiny_ns;
+  span_end (solve_ns /. 1e9) "solve" 0 solve_ns;
+  write_file file (Buffer.contents b);
+  file
+
+let fsa_trace_diff t1 t2 =
+  let code, out =
+    run_cmd
+      (Printf.sprintf "%s diff %s %s" (fsa_trace_exe ()) (Filename.quote t1)
+         (Filename.quote t2))
+  in
+  Sys.remove t1;
+  Sys.remove t2;
+  (code, out)
+
+let test_cli_diff_same_run_quiet () =
+  (* Two recordings of one run: every span within 10%, and a micro span
+     3x slower but far under the 1 ms floor.  Nothing is over threshold. *)
+  let t1 = write_fixed_trace ~solve_ns:20e6 ~hot_ns:8e6 ~tiny_ns:50e3 in
+  let t2 = write_fixed_trace ~solve_ns:21e6 ~hot_ns:8.8e6 ~tiny_ns:150e3 in
+  let code, out = fsa_trace_diff t1 t2 in
+  if code <> 0 then Alcotest.failf "diff flagged same-run traces: %s" out;
+  check_int "diff exit 0" 0 code
+
+let test_cli_diff_flags_slowdown () =
+  (* [hot] 3x slower, 16 ms over its 8 ms baseline: past both the 25% and
+     the 1 ms floor, so the gate fails. *)
+  let t1 = write_fixed_trace ~solve_ns:20e6 ~hot_ns:8e6 ~tiny_ns:50e3 in
+  let t2 = write_fixed_trace ~solve_ns:36e6 ~hot_ns:24e6 ~tiny_ns:50e3 in
+  let code, out = fsa_trace_diff t1 t2 in
+  check_int "diff exit 1" 1 code;
+  check_bool "diff names the slow span" true (contains_sub out "hot")
 
 let test_cli_summarize_top () =
   let trace_file = record_trace () in
@@ -776,6 +817,7 @@ let () =
             test_cli_summarize_root_matches_wall;
           Alcotest.test_case "export-chrome" `Quick test_cli_export_chrome;
           Alcotest.test_case "diff same run" `Quick test_cli_diff_same_run_quiet;
+          Alcotest.test_case "diff flags 3x slowdown" `Quick test_cli_diff_flags_slowdown;
           Alcotest.test_case "summarize --top" `Quick test_cli_summarize_top;
           Alcotest.test_case "bad options exit 2" `Quick test_cli_rejects_bad_options;
         ] );
